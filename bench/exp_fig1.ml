@@ -5,8 +5,9 @@
 
 open Common
 module Metric = Cr_metric.Metric
-module Walker = Cr_sim.Walker
 module Simple_ni = Cr_core.Simple_ni
+module Route_trace = Cr_core.Route_trace
+module Trace = Cr_obs.Trace
 
 let run () =
   let inst =
@@ -31,25 +32,33 @@ let run () =
   print_header
     "E3 (Figure 1): per-level trace of Algorithm 3 (simple NI, holey grid)"
     [ "src->dst"; "d(u,v)"; "lvl"; "hub"; "climb"; "search"; "found" ];
+  let first = (Simple_ni.compiled scheme).Cr_core.Forward.n_first in
   List.iter
     (fun dst ->
-      let w = Walker.create inst.metric ~start:src ~max_hops:1_000_000 in
-      Simple_ni.walk
-        ~observe:(fun (r : Simple_ni.level_report) ->
-          print_row
-            [ cell "%4d->%-4d" src dst;
-              cell "%6.1f" (Metric.dist inst.metric src dst);
-              cell "%3d" r.Simple_ni.level;
-              cell "%4d" r.Simple_ni.hub;
-              cell "%7.2f" r.Simple_ni.climb_cost;
-              cell "%7.2f" r.Simple_ni.search_cost;
-              (if r.Simple_ni.found then "yes" else " no") ])
-        scheme w ~dest_name:naming.Cr_sim.Workload.name_of.(dst);
-      let d = Metric.dist inst.metric src dst in
+      let dest_name = naming.Cr_sim.Workload.name_of.(dst) in
+      let r =
+        Route_trace.capture ~max_hops:1_000_000 inst.metric ~src ~dst
+          ~walk:(fun w -> Simple_ni.walk scheme w ~dest_name)
+      in
+      (* per-level costs are the phase-tagged hop sums of the trace *)
+      let costs = Route_trace.phase_costs r in
+      let phase_cost p = Option.value (List.assoc_opt p costs) ~default:0.0 in
+      let found = Simple_ni.found_level scheme ~src ~dest_name in
+      for level = first to found do
+        print_row
+          [ cell "%4d->%-4d" src dst;
+            cell "%6.1f" r.Route_trace.distance;
+            cell "%3d" level;
+            cell "%4d" (Simple_ni.hub scheme ~src ~level);
+            cell "%7.2f" (phase_cost (Trace.Zoom level));
+            cell "%7.2f" (phase_cost (Trace.Ball_search level));
+            (if level = found then "yes" else " no") ]
+      done;
+      let d = r.Route_trace.distance in
       Printf.printf
         "   total cost %.2f = stretch %.2f (budget 9+O(eps) on d = %.1f)\n"
-        (Walker.cost w)
-        (Walker.cost w /. d)
+        r.Route_trace.cost
+        (r.Route_trace.cost /. d)
         d)
     sample_dst;
   print_newline ();

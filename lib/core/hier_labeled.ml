@@ -10,6 +10,7 @@ type t = {
   nt : Netting_tree.t;
   metric : Metric.t;
   rings : Rings.t;
+  fwd : Forward.hier;
 }
 
 let table_bits t v = Rings.table_bits t.rings v
@@ -19,11 +20,16 @@ let build ?obs ?(pool = Cr_par.Pool.default ()) nt ~epsilon =
   Trace.span ctx "hier_labeled.build" (fun () ->
       let h = Netting_tree.hierarchy nt in
       let m = Hierarchy.metric h in
+      let rings =
+        Cr_par.Pool.stage ctx pool "hier_labeled.rings" (fun () ->
+            Rings.build ~pool nt ~epsilon ~mode:Rings.All_levels)
+      in
+      let h_label, h_node_of = Forward.labels nt in
       let t =
-        { nt; metric = m;
-          rings =
-            Cr_par.Pool.stage ctx pool "hier_labeled.rings" (fun () ->
-                Rings.build ~pool nt ~epsilon ~mode:Rings.All_levels) }
+        { nt; metric = m; rings;
+          fwd =
+            { Forward.h_tables = Tables.of_rings ~pool rings; h_label;
+              h_node_of } }
       in
       Scheme.table_counters ctx "hier_labeled" (table_bits t) (Metric.n m);
       t)
@@ -32,23 +38,8 @@ let label t v = Netting_tree.label t.nt v
 let rings t = t.rings
 let netting_tree t = t.nt
 
-let walk t w ~dest_label =
-  Walker.with_phase w Trace.Net_phase @@ fun () ->
-  let dest = Netting_tree.node_of_label t.nt dest_label in
-  while Walker.position w <> dest do
-    let at = Walker.position w in
-    match Rings.minimal_cover_level t.rings ~at ~label:dest_label with
-    | None ->
-      (* The top-level ring always covers every label (the root's range is
-         all of [0, n)), so this is unreachable. *)
-      assert false
-    | Some (_, x) ->
-      (* x <> at: if the covering ring member were the current node at a
-         positive level, the next level down would also cover (the zooming
-         step is within the ring radius), contradicting minimality; at
-         level 0 it would mean we already arrived. *)
-      Walker.step w (Metric.next_hop t.metric ~src:at ~dst:x)
-  done
+let compiled t = t.fwd
+let walk t w ~dest_label = Forward.hier t.fwd (Forward.walker w) ~dest_label
 
 let label_bits t = Bits.id_bits (Metric.n t.metric)
 
@@ -74,7 +65,7 @@ let to_scheme t =
 let to_underlying t =
   { Underlying.u_name = "hier-labeled (Lemma 3.1)";
     u_label = label t;
-    u_walk = (fun w ~dest_label -> walk t w ~dest_label);
+    u_drive = Forward.hier t.fwd;
     u_table_bits = table_bits t;
     u_label_bits = label_bits t;
     u_header_bits = header_bits t }

@@ -34,9 +34,15 @@ val rings : t -> Rings.t
 
 val netting_tree : t -> Cr_nets.Netting_tree.t
 
+(** [compiled t] is the forwarding state [build] compiled once: the ring
+    arena and label maps {!Forward.hier} reads (shared with the serving
+    engine). *)
+val compiled : t -> Forward.hier
+
 (** [walk t w ~dest_label] advances walker [w] from its current position to
-    the node labeled [dest_label]. Hops are attributed to the
-    [Net_phase] trace phase unless an outer scheme already set one. *)
+    the node labeled [dest_label] ({!Forward.hier}). Hops are attributed
+    to the [Net_phase] trace phase unless an outer scheme already set
+    one. *)
 val walk : t -> Cr_sim.Walker.t -> dest_label:int -> unit
 
 (** [table_bits t v] is the measured per-node storage in bits. *)

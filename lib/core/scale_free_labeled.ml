@@ -25,10 +25,7 @@ type t = {
   levels_j : level_info array;
   trees_of : Search_tree.t list array;  (* search trees containing a node *)
   path_bits : int array;  (* Lemma 4.3 next-hop storage charged per node *)
-  descent : Netting_descent.t;
-  fallbacks : int Atomic.t;
-      (* atomic: routes (and hence fallbacks) may run on several domains
-         during parallel workload evaluation *)
+  fwd : Forward.sfl;
 }
 
 let cell_tree m voronoi center =
@@ -78,6 +75,35 @@ let table_bits t v =
       0 t.trees_of.(v)
   in
   Rings.table_bits t.rings v + per_j + search_bits + t.path_bits.(v)
+
+(* The flat state Algorithm 5 reads: the ring arena, each node's
+   per-scale radius, and each scale's Voronoi owners and parents. *)
+let compile ~pool m nt rings levels_j =
+  let n = Metric.n m in
+  let scales = Array.length levels_j in
+  let radii = Array.make (n * scales) 0.0 in
+  let rows =
+    Cr_par.Pool.parallel_init pool n (fun u ->
+        Array.init scales (fun j -> Metric.radius_of_size m u (1 lsl j)))
+  in
+  Array.iteri (fun u row -> Array.blit row 0 radii (u * scales) scales) rows;
+  let vor_owner = Array.make (scales * n) 0 in
+  let vor_parent = Array.make (scales * n) (-1) in
+  Array.iteri
+    (fun j lv ->
+      for v = 0 to n - 1 do
+        vor_owner.((j * n) + v) <- Voronoi.owner lv.voronoi v;
+        vor_parent.((j * n) + v) <- Voronoi.parent lv.voronoi v
+      done)
+    levels_j;
+  let label, node_of = Forward.labels nt in
+  { Forward.s_tables = Tables.of_rings ~pool rings; s_label = label;
+    s_node_of = node_of; s_eps_eff = Rings.effective_epsilon rings;
+    s_scales = scales; s_radii = radii; s_vor_owner = vor_owner;
+    s_vor_parent = vor_parent;
+    s_routers = Array.map (fun lv -> lv.routers) levels_j;
+    s_search = Array.map (fun lv -> lv.search) levels_j;
+    s_descent = Forward.build_descent nt; s_fallbacks = Atomic.make 0 }
 
 let build ?obs ?(pool = Cr_par.Pool.default ()) nt ~epsilon =
   let ctx = Trace.resolve obs in
@@ -149,7 +175,7 @@ let build ?obs ?(pool = Cr_par.Pool.default ()) nt ~epsilon =
   in
   let t =
     { nt; metric = m; rings; levels_j; trees_of; path_bits;
-      descent = Netting_descent.build nt; fallbacks = Atomic.make 0 }
+      fwd = compile ~pool m nt rings levels_j }
   in
   if Trace.enabled ctx then begin
     Trace.counter ctx "scale_free_labeled.packing_scales"
@@ -167,130 +193,22 @@ let label t v = Netting_tree.label t.nt v
 
 let rings t = t.rings
 let netting_tree t = t.nt
-let packing_scales t = Array.length t.levels_j
-let scale_voronoi t ~scale = t.levels_j.(scale).voronoi
-let scale_router t ~scale ~center = Hashtbl.find t.levels_j.(scale).routers center
-let scale_search t ~scale ~center = Hashtbl.find t.levels_j.(scale).search center
 
-let top_j t = Array.length t.levels_j - 1
-
-(* Line 7 of Algorithm 5: the scale j with r_u(j) <= 2^i < r_u(j+1). *)
-let matching_scale t u i =
-  let two_i = Float.pow 2.0 (float_of_int i) in
-  let rec go j =
-    if j = 0 then 0
-    else if Metric.radius_of_size t.metric u (1 lsl j) <= two_i then j
-    else go (j - 1)
-  in
-  go (top_j t)
-
-let execute_search w st ~key =
-  let result = Search_tree.search st ~key in
-  List.iter
-    (fun (leg : Search_tree.leg) ->
-      match leg.chained_cost with
-      | Some c -> Walker.teleport w leg.dst ~cost:c
-      | None -> Walker.walk_shortest_path w leg.dst)
-    result.legs;
-  result.data
-
-let fallback t w ~dest_label =
-  Atomic.incr t.fallbacks;
-  Walker.with_phase w Trace.Fallback (fun () ->
-      Netting_descent.walk t.descent w ~dest_label)
-
-type phase_report = {
-  exit_level : int;  (* i_t; -1 when the ring phase delivered directly *)
-  scale : int;  (* the packing scale j; -1 when direct *)
+type phase_report = Forward.phase_report = {
+  exit_level : int;
+  scale : int;
   ring_cost : float;
   climb_cost : float;
   search_cost : float;
   tree_cost : float;
 }
 
-let walk ?(observe = fun (_ : phase_report) -> ()) t w ~dest_label =
-  let start_cost = Walker.cost w in
-  let dest = Netting_tree.node_of_label t.nt dest_label in
-  let eps_eff = Rings.effective_epsilon t.rings in
-  (* Lines 1-6: greedy ring descent. *)
-  let rec ring_phase prev_level =
-    let at = Walker.position w in
-    if at = dest then None
-    else
-      match Rings.minimal_cover_level t.rings ~at ~label:dest_label with
-      | None -> Some None  (* no covering ring: fallback *)
-      | Some (0, x) ->
-        (* A level-0 range is a singleton, so x is the destination itself:
-           finish along the shortest path. (At i_t = 0 the paper's Claim 4.6
-           premise "i_t - 1 not in R(u_t)" is vacuous and the packing phase
-           may genuinely miss, e.g. at Voronoi tie boundaries; walking the
-           remaining <= 2^0/eps distance directly realizes the d(u_t, v)
-           term of Eqn 19 exactly.) *)
-        Walker.walk_shortest_path w x;
-        None
-      | Some (i, x) ->
-        let two_i = Float.pow 2.0 (float_of_int i) in
-        let threshold = (two_i /. 2.0 /. eps_eff) -. two_i in
-        if i <= prev_level && Metric.dist t.metric at x >= threshold then begin
-          Walker.step w (Metric.next_hop t.metric ~src:at ~dst:x);
-          ring_phase i
-        end
-        else Some (Some i)
-  in
-  match
-    Walker.with_phase w Trace.Net_phase (fun () -> ring_phase max_int)
-  with
-  | None ->
-    (* arrived during the ring phase *)
-    observe
-      { exit_level = -1; scale = -1; ring_cost = Walker.cost w -. start_cost;
-        climb_cost = 0.0; search_cost = 0.0; tree_cost = 0.0 }
-  | Some None -> fallback t w ~dest_label
-  | Some (Some i_t) ->
-    let ring_cost = Walker.cost w -. start_cost in
-    let u_t = Walker.position w in
-    let j = matching_scale t u_t i_t in
-    let lv = t.levels_j.(j) in
-    let c = Voronoi.owner lv.voronoi u_t in
-    (* Line 8: climb T_c(j) to its root c along graph edges. *)
-    let rec climb () =
-      let at = Walker.position w in
-      if at <> c then begin
-        Walker.step w (Voronoi.parent lv.voronoi at);
-        climb ()
-      end
-    in
-    Walker.with_phase w Trace.Voronoi_phase climb;
-    let climb_cost = Walker.cost w -. start_cost -. ring_cost in
-    (* Line 9: search tree II lookup of the local tree label. *)
-    let st = Hashtbl.find lv.search c in
-    (match
-       Walker.with_phase w Trace.Search_tree_phase (fun () ->
-           execute_search w st ~key:dest_label)
-     with
-    | Some local_label ->
-      let search_cost =
-        Walker.cost w -. start_cost -. ring_cost -. climb_cost
-      in
-      (* Line 10: tree-route from c to the destination. *)
-      let router = Hashtbl.find lv.routers c in
-      let path, _cost =
-        Interval_routing.route router ~src:c ~dest_label:local_label
-      in
-      Walker.with_phase w Trace.Voronoi_phase (fun () ->
-          match path with
-          | [] -> ()
-          | _ :: rest -> List.iter (fun v -> Walker.step w v) rest);
-      if Walker.position w <> dest then fallback t w ~dest_label
-      else
-        observe
-          { exit_level = i_t; scale = j; ring_cost; climb_cost; search_cost;
-            tree_cost =
-              Walker.cost w -. start_cost -. ring_cost -. climb_cost
-              -. search_cost }
-    | None -> fallback t w ~dest_label)
+let compiled t = t.fwd
 
-let fallback_count t = Atomic.get t.fallbacks
+let walk ?observe t w ~dest_label =
+  Forward.sfl ?observe t.fwd (Forward.walker w) ~dest_label
+
+let fallback_count t = Atomic.get t.fwd.Forward.s_fallbacks
 
 let label_bits t = Bits.id_bits (Metric.n t.metric)
 
@@ -318,7 +236,7 @@ let to_scheme t =
 let to_underlying t =
   { Underlying.u_name = "scale-free labeled (Thm 1.2)";
     u_label = label t;
-    u_walk = (fun w ~dest_label -> walk t w ~dest_label);
+    u_drive = (fun ex ~dest_label -> Forward.sfl t.fwd ex ~dest_label);
     u_table_bits = table_bits t;
     u_label_bits = label_bits t;
     u_header_bits = header_bits t }

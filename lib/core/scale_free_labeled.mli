@@ -37,33 +37,20 @@ val build :
     number). *)
 val label : t -> int -> int
 
-(** Structure accessors for the route-serving compiler ([Cr_serve]) and the
-    wire-format codec: the selected-mode rings, the netting tree, and the
-    per-packing-scale Voronoi partitions and per-cell directories. The
-    returned values are shared, immutable views of the scheme's own state —
-    a compiled engine making the same lookups is guaranteed the walker's
-    exact decisions. *)
+(** [rings t] / [netting_tree t] expose the underlying structures (used by
+    the invariant checkers). *)
 val rings : t -> Rings.t
 
 val netting_tree : t -> Cr_nets.Netting_tree.t
 
-(** [packing_scales t] is the number of packing scales j (indices
-    [0 .. packing_scales t - 1]). *)
-val packing_scales : t -> int
+(** [compiled t] is the forwarding state [build] compiled once — the ring
+    arena, radius table, Voronoi owners/parents and per-cell directories
+    {!Forward.sfl} reads (the serving engine shares it, with its own
+    fallback counter). *)
+val compiled : t -> Forward.sfl
 
-val scale_voronoi : t -> scale:int -> Cr_packing.Voronoi.t
-
-(** [scale_router t ~scale ~center] / [scale_search t ~scale ~center] are
-    cell [center]'s interval router T_c(j) and search tree II. Raise
-    [Not_found] if [center] is not a packing center at [scale]. *)
-val scale_router : t -> scale:int -> center:int -> Cr_tree.Interval_routing.t
-
-val scale_search : t -> scale:int -> center:int -> Cr_search.Search_tree.t
-
-(** Phase breakdown of one Algorithm 5 route, as reported to a [walk]
-    observer — the data Figure 2 illustrates. [exit_level] and [scale] are
-    -1 when the ring phase delivered the packet by itself. *)
-type phase_report = {
+(** Phase breakdown of one Algorithm 5 route ({!Forward.phase_report}). *)
+type phase_report = Forward.phase_report = {
   exit_level : int;
   scale : int;
   ring_cost : float;
@@ -73,11 +60,11 @@ type phase_report = {
 }
 
 (** [walk t w ~dest_label] advances walker [w] to the node labeled
-    [dest_label] following Algorithm 5; [observe] is called once on the
-    fast path (not on fallback). Hops are trace-tagged with the Figure 2
-    phases: [Net_phase] (ring descent), [Voronoi_phase] (cell-tree climb
-    and tree-route), [Search_tree_phase] (search tree II lookup), and
-    [Fallback]. *)
+    [dest_label] following Algorithm 5 ({!Forward.sfl}); [observe] is
+    called once on the fast path (not on fallback). Hops are trace-tagged
+    with the Figure 2 phases: [Net_phase] (ring descent), [Voronoi_phase]
+    (cell-tree climb and tree-route), [Search_tree_phase] (search tree II
+    lookup), and [Fallback]. *)
 val walk :
   ?observe:(phase_report -> unit) -> t -> Cr_sim.Walker.t -> dest_label:int ->
   unit

@@ -17,31 +17,24 @@ type packed_tree = {
   st : Search_tree.t;
 }
 
-type search_site =
-  | Local of Search_tree.t  (* type A: own tree on B_u(2^i/eps) *)
-  | Link of packed_tree  (* H(u, i) *)
-
 type t = {
-  nt : Netting_tree.t;
   metric : Metric.t;
-  zoom : Zoom.t;
-  eps_eff : float;
   naming : Workload.naming;
   underlying : Underlying.t;
-  sites : (int * int, search_site) Hashtbl.t;  (* (level i, u in Y_i) *)
   trees_of : Search_tree.t list array;
   h_links : (int * packed_tree) list array;
       (* u -> (level, linked ball) for every i in S(u), level-increasing *)
   type_a : int;
   type_b : int;
-  top : int;
+  fwd : Forward.ni;
+      (* sites: (level i, u in Y_i) -> u's type-A tree or its H(u, i) link *)
 }
 
 let ni_effective_epsilon epsilon = Float.min epsilon 0.4
 
 let table_bits t v =
   let n = Metric.n t.metric in
-  let level_bits = Bits.ceil_log2 (t.top + 2) in
+  let level_bits = Bits.ceil_log2 (t.fwd.Forward.n_top + 2) in
   let search_bits =
     List.fold_left
       (fun acc st -> acc + Search_tree.table_bits st v)
@@ -161,29 +154,35 @@ let build ?obs ?(pool = Cr_par.Pool.default ()) nt ~epsilon ~naming
              incr level_idx
            done;
            match !covering with
-           | Some pt -> (u, Link pt)
+           | Some pt -> (u, `Link pt)
            | None ->
              let st =
                Search_tree.build m ~epsilon:eps_eff ~center:u ~radius
                  ~members ~level_cap:None ~pairs:(directory_pairs members)
                  ~universe:n
              in
-             (u, Local st))
+             (u, `Local st))
          (Hierarchy.net h i)
      in
      List.iter
        (fun (u, site) ->
-         Hashtbl.replace sites (i, u) site;
          match site with
-         | Link pt -> h_links.(u) <- h_links.(u) @ [ (i, pt) ]
-         | Local st ->
+         | `Link pt ->
+           Hashtbl.replace sites (i, u) (Forward.Link (pt.center, pt.st));
+           h_links.(u) <- h_links.(u) @ [ (i, pt) ]
+         | `Local st ->
+           Hashtbl.replace sites (i, u) (Forward.Local st);
            register st;
            incr type_a)
        built
    done);
   let t =
-    { nt; metric = m; zoom = Zoom.build h; eps_eff; naming; underlying;
-      sites; trees_of; h_links; type_a = !type_a; type_b; top }
+    { metric = m; naming; underlying; trees_of; h_links; type_a = !type_a;
+      type_b;
+      fwd =
+        { Forward.n_zoom = Zoom.build h; n_first = 0; n_top = top;
+          n_sites = sites; n_label = underlying.Underlying.u_label;
+          n_under = underlying.Underlying.u_drive } }
   in
   if Trace.enabled ctx then begin
     Trace.counter ctx "scale_free_ni.type_a_trees" (float_of_int !type_a);
@@ -194,131 +193,10 @@ let build ?obs ?(pool = Cr_par.Pool.default ()) nt ~epsilon ~naming
 
 let naming t = t.naming
 let underlying t = t.underlying
-let top_level t = t.top
-let hub t ~src ~level = Zoom.step t.zoom src level
-
-let site t ~level ~hub =
-  match Hashtbl.find t.sites (level, hub) with
-  | Local st -> `Local st
-  | Link pt -> `Link (pt.center, pt.st)
-
-let execute_search t w st ~key =
-  let result = Search_tree.search st ~key in
-  List.iter
-    (fun (leg : Search_tree.leg) ->
-      match leg.chained_cost with
-      | Some c -> Walker.teleport w leg.dst ~cost:c
-      | None ->
-        t.underlying.Underlying.u_walk w
-          ~dest_label:(t.underlying.Underlying.u_label leg.dst))
-    result.legs;
-  result.data
-
-(* Algorithm 4. *)
-let search t w ~hub ~level ~key =
-  match Hashtbl.find t.sites (level, hub) with
-  | Local st -> execute_search t w st ~key
-  | Link pt ->
-    t.underlying.Underlying.u_walk w
-      ~dest_label:(t.underlying.Underlying.u_label pt.center);
-    let data = execute_search t w pt.st ~key in
-    t.underlying.Underlying.u_walk w
-      ~dest_label:(t.underlying.Underlying.u_label hub);
-    data
-
-type level_report = Simple_ni.level_report = {
-  level : int;
-  hub : int;
-  climb_cost : float;
-  search_cost : float;
-  found : bool;
-}
-
-(* Algorithm 3, with Search() in place of SearchTree(). *)
-let walk ?(observe = fun (_ : level_report) -> ()) t w ~dest_name =
-  let src = Walker.position w in
-  let rec attempt i =
-    if i > t.top then
-      invalid_arg "Scale_free_ni.walk: name not found at the top level"
-    else begin
-      let hub = Zoom.step t.zoom src i in
-      let before_climb = Walker.cost w in
-      Walker.with_phase w (Trace.Zoom i) (fun () ->
-          t.underlying.Underlying.u_walk w
-            ~dest_label:(t.underlying.Underlying.u_label hub));
-      let before_search = Walker.cost w in
-      let result =
-        Walker.with_phase w (Trace.Ball_search i) (fun () ->
-            search t w ~hub ~level:i ~key:dest_name)
-      in
-      observe
-        { level = i; hub;
-          climb_cost = before_search -. before_climb;
-          search_cost = Walker.cost w -. before_search;
-          found = result <> None };
-      match result with
-      | Some dest_label ->
-        Walker.with_phase w Trace.Deliver (fun () ->
-            t.underlying.Underlying.u_walk w ~dest_label)
-      | None -> attempt (i + 1)
-    end
-  in
-  attempt 0
-
-(* Degraded-mode Algorithm 3 (same failover rule as
-   [Simple_ni.walk_degraded]): a [Blocked] move abandons the level and
-   re-enters the zooming sequence one level up from the packet's current
-   position; post-failover hops are trace-tagged [Faults]. *)
-let walk_degraded t w ~dest_name =
-  let reroutes = ref 0 in
-  let rec attempt from i =
-    if i > t.top then Scheme.Undeliverable
-    else
-      match
-        let hub = Zoom.step t.zoom from i in
-        Walker.with_phase w (Trace.Zoom i) (fun () ->
-            t.underlying.Underlying.u_walk w
-              ~dest_label:(t.underlying.Underlying.u_label hub));
-        match
-          Walker.with_phase w (Trace.Ball_search i) (fun () ->
-              search t w ~hub ~level:i ~key:dest_name)
-        with
-        | Some dest_label ->
-          Walker.with_phase w Trace.Deliver (fun () ->
-              t.underlying.Underlying.u_walk w ~dest_label);
-          true
-        | None -> false
-      with
-      | true -> if !reroutes = 0 then Scheme.Delivered else Scheme.Rerouted
-      | false -> attempt from (i + 1)
-      | exception Walker.Blocked _ ->
-        incr reroutes;
-        Walker.set_phase w Trace.Faults;
-        attempt (Walker.position w) (i + 1)
-  in
-  let status =
-    match attempt (Walker.position w) 0 with
-    | status -> status
-    | exception Walker.Hop_budget_exhausted -> Scheme.Undeliverable
-  in
-  Walker.set_phase w Trace.Unphased;
-  (status, !reroutes)
-
-let peek_search t ~hub ~level ~key =
-  match Hashtbl.find t.sites (level, hub) with
-  | Local st -> (Search_tree.search st ~key).data
-  | Link pt -> (Search_tree.search pt.st ~key).data
-
-let found_level t ~src ~dest_name =
-  let rec attempt i =
-    if i > t.top then invalid_arg "Scale_free_ni.found_level: not found"
-    else
-      let hub = Zoom.step t.zoom src i in
-      match peek_search t ~hub ~level:i ~key:dest_name with
-      | Some _ -> i
-      | None -> attempt (i + 1)
-  in
-  attempt 0
+let compiled t = t.fwd
+let walk t w ~dest_name = Forward.ni t.fwd (Forward.walker w) ~dest_name
+let walk_degraded t w ~dest_name = Forward.ni_degraded t.fwd w ~dest_name
+let found_level t ~src ~dest_name = Forward.found_level t.fwd ~src ~dest_name
 
 let type_a_count t = t.type_a
 let type_b_count t = t.type_b
@@ -331,7 +209,7 @@ let h_link_balls t u =
 
 let header_bits t =
   let n = Metric.n t.metric in
-  (2 * Bits.id_bits n) + Bits.ceil_log2 (t.top + 2)
+  (2 * Bits.id_bits n) + Bits.ceil_log2 (t.fwd.Forward.n_top + 2)
   + t.underlying.Underlying.u_header_bits
 
 let default_budget m = 50_000 + (200 * Metric.n m)

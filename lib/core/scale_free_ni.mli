@@ -35,45 +35,26 @@ val build :
   underlying:Underlying.t ->
   t
 
-(** Per-level observation record, shared with {!Simple_ni}. *)
-type level_report = Simple_ni.level_report = {
-  level : int;
-  hub : int;
-  climb_cost : float;
-  search_cost : float;
-  found : bool;
-}
-
-(** [walk t w ~dest_name] drives walker [w] to the node named [dest_name];
-    [observe] is called once per visited level. Hops are trace-tagged
-    [Zoom i] / [Ball_search i] / [Deliver], as in {!Simple_ni.walk}. *)
-val walk :
-  ?observe:(level_report -> unit) -> t -> Cr_sim.Walker.t -> dest_name:int ->
-  unit
+(** [walk t w ~dest_name] drives walker [w] to the node named [dest_name]
+    (Algorithm 3 with Search() in place of SearchTree(), {!Forward.ni}).
+    Hops are trace-tagged [Zoom i] / [Ball_search i] / [Deliver], as in
+    {!Simple_ni.walk}. *)
+val walk : t -> Cr_sim.Walker.t -> dest_name:int -> unit
 
 (** [found_level t ~src ~dest_name] is the level at which Search() succeeds
     for this pair (the Figure 1 quantity). *)
 val found_level : t -> src:int -> dest_name:int -> int
 
-(** Structure accessors for the route-serving compiler ([Cr_serve]),
-    mirroring {!Simple_ni}'s: the naming, the top level, the
-    zooming-sequence hubs, and each search site of Algorithm 4 — either the
-    hub's own type-A tree, or the H(u, i) link as the linked ball's
-    [(center, type-B tree)]. Shared immutable views; [site] raises
-    [Not_found] if [hub] is not a level-[level] net point. *)
 val naming : t -> Cr_sim.Workload.naming
 
 (** [underlying t] is the labeled scheme all travel executes through. *)
 val underlying : t -> Underlying.t
 
-val top_level : t -> int
-
-val hub : t -> src:int -> level:int -> int
-
-val site :
-  t -> level:int -> hub:int ->
-  [ `Local of Cr_search.Search_tree.t
-  | `Link of int * Cr_search.Search_tree.t ]
+(** [compiled t] is the forwarding state {!Forward.ni} reads: the zooming
+    sequences and each (level, hub)'s search site of Algorithm 4 — the
+    hub's own type-A tree, or the H(u, i) link as the linked ball's center
+    and type-B tree (shared with the serving engine). *)
+val compiled : t -> Forward.ni
 
 (** [type_a_count t] / [type_b_count t] are the numbers of net-ball and
     packing-ball search trees built — the balance Claims 3.6/3.7 reason
@@ -100,10 +81,10 @@ val table_bits : t -> int -> int
 val header_bits : t -> int
 val to_scheme : t -> Cr_sim.Scheme.name_independent
 
-(** Degraded-mode routing, as in [Simple_ni.walk_degraded]: [Blocked]
-    moves trigger a failover that re-enters the zooming sequence one
-    level up from the current position; returns the route status and the
-    failover count. *)
+(** Degraded-mode routing, as in [Simple_ni.walk_degraded]
+    ({!Forward.ni_degraded}): [Blocked] moves trigger a failover that
+    re-enters the zooming sequence one level up from the current
+    position; returns the route status and the failover count. *)
 val walk_degraded :
   t -> Cr_sim.Walker.t -> dest_name:int ->
   Cr_sim.Scheme.route_status * int

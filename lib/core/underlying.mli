@@ -8,8 +8,9 @@
 type t = {
   u_name : string;
   u_label : int -> int;  (** node -> routing label l(v) *)
-  u_walk : Cr_sim.Walker.t -> dest_label:int -> unit;
-      (** advance a walker to the labeled node, paying real edge costs *)
+  u_drive : Forward.exec -> dest_label:int -> unit;
+      (** the scheme's forwarding driver: move the packet to the labeled
+          node, paying real edge costs *)
   u_table_bits : int -> int;  (** per-node storage of the labeled scheme *)
   u_label_bits : int;
   u_header_bits : int;

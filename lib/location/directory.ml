@@ -6,6 +6,7 @@ module Zoom = Cr_nets.Zoom
 module Search_tree = Cr_search.Search_tree
 module Walker = Cr_sim.Walker
 module Underlying = Cr_core.Underlying
+module Forward = Cr_core.Forward
 
 type t = {
   nt : Netting_tree.t;
@@ -60,7 +61,7 @@ let create nt ~epsilon ~underlying ~key_universe =
     top }
 
 let walk_to t w node =
-  t.underlying.Underlying.u_walk w
+  t.underlying.Underlying.u_drive (Forward.walker w)
     ~dest_label:(t.underlying.Underlying.u_label node)
 
 let execute_legs t w legs =
@@ -134,7 +135,7 @@ let lookup t w ~key =
       execute_legs t w result.Search_tree.legs;
       match result.Search_tree.data with
       | Some label ->
-        t.underlying.Underlying.u_walk w ~dest_label:label;
+        t.underlying.Underlying.u_drive (Forward.walker w) ~dest_label:label;
         Some (Walker.position w)
       | None -> attempt (i + 1)
     end

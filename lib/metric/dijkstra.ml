@@ -4,7 +4,11 @@ type result = {
 }
 
 (* Relaxations break ties toward the smaller predecessor id so that the
-   shortest-path forest is deterministic. *)
+   shortest-path forest is deterministic. A tie only re-parents [v] onto a
+   strictly closer [u] ([d < cand]): where a weight vanishes in the float
+   sum ([d +. w = d], distances past 2^53 times the weight), two equally
+   distant neighbors would otherwise adopt each other and close a
+   predecessor cycle that [path] never leaves. *)
 let run g s =
   let n = Graph.n g in
   if s < 0 || s >= n then invalid_arg "Dijkstra.run: source out of range";
@@ -20,7 +24,8 @@ let run g s =
           let cand = d +. w in
           if
             cand < dist.(v)
-            || (Float.equal cand dist.(v) && pred.(v) >= 0 && u < pred.(v))
+            || Float.equal cand dist.(v)
+               && d < cand && pred.(v) >= 0 && u < pred.(v)
           then begin
             let improved = cand < dist.(v) in
             dist.(v) <- cand;

@@ -2,10 +2,6 @@ module Metric = Cr_metric.Metric
 module Bits = Cr_metric.Bits
 module Hierarchy = Cr_nets.Hierarchy
 module Netting_tree = Cr_nets.Netting_tree
-module Zoom = Cr_nets.Zoom
-module Voronoi = Cr_packing.Voronoi
-module Interval_routing = Cr_tree.Interval_routing
-module Search_tree = Cr_search.Search_tree
 module Walker = Cr_sim.Walker
 module Scheme = Cr_sim.Scheme
 module Workload = Cr_sim.Workload
@@ -13,6 +9,8 @@ module Trace = Cr_obs.Trace
 module Cost = Cr_obs.Cost
 module Live = Cr_obs.Live
 module Pool = Cr_par.Pool
+module Forward = Cr_core.Forward
+module Tables = Cr_core.Tables
 module Rings = Cr_core.Rings
 module Hier_labeled = Cr_core.Hier_labeled
 module Scale_free_labeled = Cr_core.Scale_free_labeled
@@ -20,31 +18,10 @@ module Simple_ni = Cr_core.Simple_ni
 module Scale_free_ni = Cr_core.Scale_free_ni
 module Underlying = Cr_core.Underlying
 module Landmark = Cr_baselines.Landmark
-module Scheme_codec = Cr_codec.Scheme_codec
 
-(* Drivers make forwarding decisions from compiled data and execute every
-   movement through this record — bound to a real [Walker] for the
-   differential trace harness, or to the lean cursor for served routes.
-   Both executors apply the exact [Walker] semantics (same float
-   operations in the same order), so the two bindings produce identical
-   costs and hop counts. *)
-type exec = {
-  position : unit -> int;
-  step : int -> unit;  (* one graph edge, as Walker.step *)
-  jump : int -> float -> unit;  (* out-of-band move, as Walker.teleport *)
-  path : int -> unit;  (* canonical shortest path, as walk_shortest_path *)
-  phase : 'a. Trace.phase -> (unit -> 'a) -> 'a;  (* outer-wins scoping *)
-}
-
-let walker_exec w =
-  { position = (fun () -> Walker.position w);
-    step = (fun v -> Walker.step w v);
-    jump = (fun v c -> Walker.teleport w v ~cost:c);
-    path = (fun v -> Walker.walk_shortest_path w v);
-    phase = (fun p f -> Walker.with_phase w p f) }
-
-(* The serving cursor: walker cost/hop accounting without the trace,
-   trail, or failure machinery. *)
+(* Served routes run the schemes' own drivers ([Cr_core.Forward]) on the
+   serving cursor: walker cost/hop accounting — the same float operations
+   in the same order — without the trace, trail, or failure machinery. *)
 type cursor = {
   adj : Flat.t;
   cmetric : Metric.t;
@@ -102,7 +79,8 @@ let cursor_phase c p f =
   end
 
 let cursor_exec c =
-  { position = (fun () -> c.pos);
+  { Forward.position = (fun () -> c.pos);
+    cost = (fun () -> c.total);
     step = (fun v -> cursor_step c v);
     jump = (fun v cost -> cursor_jump c v cost);
     path = (fun v -> cursor_path c v);
@@ -113,7 +91,8 @@ let cursor_exec c =
 exception First_move of int
 
 let probe_exec m pos0 =
-  { position = (fun () -> pos0);
+  { Forward.position = (fun () -> pos0);
+    cost = (fun () -> 0.0);
     step = (fun v -> raise (First_move v));
     jump = (fun v _ -> raise (First_move v));
     path =
@@ -121,55 +100,7 @@ let probe_exec m pos0 =
         if v <> pos0 then raise (First_move (Metric.next_hop m ~src:pos0 ~dst:v)));
     phase = (fun _ f -> f ()) }
 
-(* {2 Compiled per-scheme state} *)
-
-type hier = {
-  h_tables : Tables.t;
-  h_label : int array;  (* node -> netting-tree label *)
-  h_node_of : int array;  (* label -> node *)
-}
-
-(* Flattened netting-descent fallback (Netting_descent mirror). *)
-type nd = {
-  nd_top : int;
-  nd_hub : int array;  (* v * (top + 1) + i -> u(i) *)
-  nd_nt : Netting_tree.t;
-}
-
-type sfl = {
-  s_tables : Tables.t;
-  s_label : int array;
-  s_node_of : int array;
-  s_eps_eff : float;
-  s_scales : int;  (* packing scale count *)
-  s_radii : float array;  (* u * scales + j -> r_u(2^j) *)
-  s_vor_owner : int array;  (* j * n + v *)
-  s_vor_parent : int array;  (* j * n + v; -1 at centers *)
-  s_scheme : Scale_free_labeled.t;  (* shared router/search directories *)
-  s_nd : nd;
-  s_fallbacks : int Atomic.t;
-}
-
-type under =
-  | U_hier of hier
-  | U_sfl of sfl
-
-type sni = {
-  i_scheme : Simple_ni.t;  (* shared per-(level, hub) search trees *)
-  i_under : under;
-  i_top : int;
-  i_min : int;
-  i_hub : int array;  (* src * (top + 1) + level -> src(level) *)
-  i_name_of : int array;  (* node -> name *)
-}
-
-type sfni = {
-  f_scheme : Scale_free_ni.t;  (* shared search sites *)
-  f_under : under;
-  f_top : int;
-  f_hub : int array;
-  f_name_of : int array;
-}
+(* {2 Compiled state} *)
 
 type full = { t_rows : int array (* src * n + dst -> first hop; -1 diag *) }
 
@@ -183,14 +114,6 @@ type lm = {
   m_bits : int array;
 }
 
-type data =
-  | Hier of hier
-  | Sfl of sfl
-  | Simple of sni
-  | Sfni of sfni
-  | Full of full
-  | Lm of lm
-
 type t = {
   data : data;
   metric : Metric.t;
@@ -199,223 +122,24 @@ type t = {
   name : string;
   kind : string;
   budget : int;  (* the scheme's walker hop budget *)
+  bits : int -> int;  (* compiled bits per node *)
 }
 
-let under_label u v =
-  match u with U_hier h -> h.h_label.(v) | U_sfl s -> s.s_label.(v)
+(* The labeled schemes serve their own compiled state (the sfl copy keeps
+   its own fallback counter); a name-independent engine runs the scheme's
+   zoom/search state over the underlying engine's labeled driver. *)
+and data =
+  | Hier of Forward.hier
+  | Sfl of Forward.sfl
+  | Ni of ni
+  | Full of full
+  | Lm of lm
 
-(* {2 Drivers}
-
-   Each driver is a line-for-line mirror of its scheme's [walk]: the same
-   decisions in the same order, with every piece of state read from the
-   compiled arena (or a shared immutable directory) instead of the
-   scheme's working structures. *)
-
-let drive_hier h ex ~dest_label =
-  ex.phase Trace.Net_phase @@ fun () ->
-  let dest = h.h_node_of.(dest_label) in
-  let rec loop () =
-    let at = ex.position () in
-    if at <> dest then begin
-      let hop = Tables.next_hop h.h_tables ~at ~label:dest_label in
-      (* All_levels rings always cover, and the minimal covering member is
-         never the current node short of arrival (Hier_labeled.walk). *)
-      assert (hop >= 0 && hop <> at);
-      ex.step hop;
-      loop ()
-    end
-  in
-  loop ()
-
-let drive_nd nd ex ~dest_label =
-  let dest = Netting_tree.node_of_label nd.nd_nt dest_label in
-  let start = ex.position () in
-  for i = 1 to nd.nd_top do
-    ex.path nd.nd_hub.((start * (nd.nd_top + 1)) + i)
-  done;
-  let rec descend level x =
-    if level = 0 then assert (x = dest)
-    else begin
-      let child =
-        List.find
-          (fun y ->
-            Netting_tree.in_range
-              (Netting_tree.range nd.nd_nt ~level:(level - 1) y)
-              dest_label)
-          (Netting_tree.children nd.nd_nt ~level x)
-      in
-      ex.path child;
-      descend (level - 1) child
-    end
-  in
-  descend nd.nd_top (ex.position ())
-
-(* Line 7 of Algorithm 5, over the precomputed radius table. *)
-let matching_scale s u i =
-  let two_i = Float.pow 2.0 (float_of_int i) in
-  let rec go j =
-    if j = 0 then 0
-    else if s.s_radii.((u * s.s_scales) + j) <= two_i then j
-    else go (j - 1)
-  in
-  go (s.s_scales - 1)
-
-(* Search legs in the labeled scheme pay net edges by walking the
-   canonical shortest path (Scale_free_labeled.execute_search). *)
-let search_legs_path ex st ~key =
-  let result = Search_tree.search st ~key in
-  List.iter
-    (fun (leg : Search_tree.leg) ->
-      match leg.chained_cost with
-      | Some c -> ex.jump leg.dst c
-      | None -> ex.path leg.dst)
-    result.legs;
-  result.data
-
-let sfl_fallback s ex ~dest_label =
-  Atomic.incr s.s_fallbacks;
-  ex.phase Trace.Fallback (fun () -> drive_nd s.s_nd ex ~dest_label)
-
-let drive_sfl s ex ~dest_label =
-  let n = Array.length s.s_label in
-  let dest = s.s_node_of.(dest_label) in
-  (* Lines 1-6: greedy ring descent over the compiled ring arena. *)
-  let rec ring_phase prev_level =
-    let at = ex.position () in
-    if at = dest then `Arrived
-    else
-      let e = Tables.cover s.s_tables ~at ~label:dest_label in
-      if e < 0 then `Fallback
-      else
-        let i = Tables.entry_level s.s_tables e in
-        if i = 0 then begin
-          (* level-0 range is a singleton: the member is the destination *)
-          ex.path (Tables.entry_member s.s_tables e);
-          `Arrived
-        end
-        else
-          let two_i = Float.pow 2.0 (float_of_int i) in
-          let threshold = (two_i /. 2.0 /. s.s_eps_eff) -. two_i in
-          if i <= prev_level && Tables.entry_dist s.s_tables e >= threshold
-          then begin
-            ex.step (Tables.entry_hop s.s_tables e);
-            ring_phase i
-          end
-          else `Exit i
-  in
-  match ex.phase Trace.Net_phase (fun () -> ring_phase max_int) with
-  | `Arrived -> ()
-  | `Fallback -> sfl_fallback s ex ~dest_label
-  | `Exit i_t ->
-    let u_t = ex.position () in
-    let j = matching_scale s u_t i_t in
-    let c = s.s_vor_owner.((j * n) + u_t) in
-    (* Line 8: climb T_c(j) along the compiled Voronoi parents. *)
-    ex.phase Trace.Voronoi_phase (fun () ->
-        let rec climb () =
-          let at = ex.position () in
-          if at <> c then begin
-            ex.step s.s_vor_parent.((j * n) + at);
-            climb ()
-          end
-        in
-        climb ());
-    (* Line 9: search tree II lookup of the local tree label. *)
-    let st = Scale_free_labeled.scale_search s.s_scheme ~scale:j ~center:c in
-    (match
-       ex.phase Trace.Search_tree_phase (fun () ->
-           search_legs_path ex st ~key:dest_label)
-     with
-    | Some local_label ->
-      (* Line 10: tree-route from c to the destination. *)
-      let router =
-        Scale_free_labeled.scale_router s.s_scheme ~scale:j ~center:c
-      in
-      let path, _cost =
-        Interval_routing.route router ~src:c ~dest_label:local_label
-      in
-      ex.phase Trace.Voronoi_phase (fun () ->
-          match path with
-          | [] -> ()
-          | _ :: rest -> List.iter (fun v -> ex.step v) rest);
-      if ex.position () <> dest then sfl_fallback s ex ~dest_label
-    | None -> sfl_fallback s ex ~dest_label)
-
-let drive_under u ex ~dest_label =
-  match u with
-  | U_hier h -> drive_hier h ex ~dest_label
-  | U_sfl s -> drive_sfl s ex ~dest_label
-
-(* Search legs in the name-independent schemes pay net edges through the
-   underlying labeled engine (Simple_ni/Scale_free_ni.execute_search). *)
-let search_legs_under u ex st ~key =
-  let result = Search_tree.search st ~key in
-  List.iter
-    (fun (leg : Search_tree.leg) ->
-      match leg.chained_cost with
-      | Some c -> ex.jump leg.dst c
-      | None -> drive_under u ex ~dest_label:(under_label u leg.dst))
-    result.legs;
-  result.data
-
-let drive_simple sn ex ~dest_name =
-  let src = ex.position () in
-  let stride = sn.i_top + 1 in
-  let rec attempt i =
-    if i > sn.i_top then
-      invalid_arg "Cr_serve.Engine: name not found at the top level"
-    else begin
-      let hub = sn.i_hub.((src * stride) + i) in
-      ex.phase (Trace.Zoom i) (fun () ->
-          drive_under sn.i_under ex ~dest_label:(under_label sn.i_under hub));
-      let st = Simple_ni.search_tree sn.i_scheme ~level:i ~hub in
-      let result =
-        ex.phase (Trace.Ball_search i) (fun () ->
-            search_legs_under sn.i_under ex st ~key:dest_name)
-      in
-      match result with
-      | Some dest_label ->
-        ex.phase Trace.Deliver (fun () ->
-            drive_under sn.i_under ex ~dest_label)
-      | None -> attempt (i + 1)
-    end
-  in
-  attempt sn.i_min
-
-let drive_sfni sf ex ~dest_name =
-  let src = ex.position () in
-  let stride = sf.f_top + 1 in
-  (* Algorithm 4: search the hub's own type-A tree, or follow the H(u, i)
-     link to a packed ball's center, search there, and come back. *)
-  let search ~hub ~level ~key =
-    match Scale_free_ni.site sf.f_scheme ~level ~hub with
-    | `Local st -> search_legs_under sf.f_under ex st ~key
-    | `Link (center, st) ->
-      drive_under sf.f_under ex
-        ~dest_label:(under_label sf.f_under center);
-      let data = search_legs_under sf.f_under ex st ~key in
-      drive_under sf.f_under ex ~dest_label:(under_label sf.f_under hub);
-      data
-  in
-  let rec attempt i =
-    if i > sf.f_top then
-      invalid_arg "Cr_serve.Engine: name not found at the top level"
-    else begin
-      let hub = sf.f_hub.((src * stride) + i) in
-      ex.phase (Trace.Zoom i) (fun () ->
-          drive_under sf.f_under ex ~dest_label:(under_label sf.f_under hub));
-      let result =
-        ex.phase (Trace.Ball_search i) (fun () ->
-            search ~hub ~level:i ~key:dest_name)
-      in
-      match result with
-      | Some dest_label ->
-        ex.phase Trace.Deliver (fun () ->
-            drive_under sf.f_under ex ~dest_label)
-      | None -> attempt (i + 1)
-    end
-  in
-  attempt 0
+and ni = {
+  fwd : Forward.ni;
+  name_of : int array;  (* node -> name *)
+  under : t;  (* the labeled engine every leg travels through *)
+}
 
 let rec lm_find l dst lo hi =
   if lo > hi then -1
@@ -426,23 +150,24 @@ let rec lm_find l dst lo hi =
     else if x < dst then lm_find l dst (mid + 1) hi
     else lm_find l dst lo (mid - 1)
 
-let drive_lm l ex ~src ~dst =
-  if src <> dst then begin
-    (* in-bunch iff dst is in the compiled row (rows hold exactly the
-       strict bunch; full rows at landmarks match is_landmark || ...) *)
-    let e = lm_find l dst l.m_bunch_off.(src) (l.m_bunch_off.(src + 1) - 1) in
-    if e < 0 then ex.path l.m_home.(src);
-    ex.path dst
-  end
-
-let drive t ex ~dst =
+let run t ex ~dst =
   match t.data with
-  | Hier h -> drive_hier h ex ~dest_label:h.h_label.(dst)
-  | Sfl s -> drive_sfl s ex ~dest_label:s.s_label.(dst)
-  | Simple sn -> drive_simple sn ex ~dest_name:sn.i_name_of.(dst)
-  | Sfni sf -> drive_sfni sf ex ~dest_name:sf.f_name_of.(dst)
-  | Full _ -> ex.path dst
-  | Lm l -> drive_lm l ex ~src:(ex.position ()) ~dst
+  | Hier h -> Forward.hier h ex ~dest_label:h.h_label.(dst)
+  | Sfl s -> Forward.sfl s ex ~dest_label:s.s_label.(dst)
+  | Ni i -> Forward.ni i.fwd ex ~dest_name:i.name_of.(dst)
+  | Full _ -> ex.Forward.path dst
+  | Lm l ->
+    (* straight to an in-bunch destination, else via the home landmark
+       (in-bunch iff dst is in the compiled row: rows hold exactly the
+       strict bunch, full rows at landmarks) *)
+    let src = ex.Forward.position () in
+    if src <> dst then begin
+      let e =
+        lm_find l dst l.m_bunch_off.(src) (l.m_bunch_off.(src + 1) - 1)
+      in
+      if e < 0 then ex.Forward.path l.m_home.(src);
+      ex.Forward.path dst
+    end
 
 (* {2 Serving API} *)
 
@@ -450,23 +175,26 @@ let scheme_name t = t.name
 let kind t = t.kind
 let n t = t.n
 
-let check_endpoint t who x =
-  if x < 0 || x >= t.n then
-    invalid_arg ("Cr_serve.Engine: " ^ who ^ " out of range")
+(* Preallocated, so the flat [next_hop] path raises without allocating. *)
+let src_out_of_range = Invalid_argument "Cr_serve.Engine: src out of range"
+let dst_out_of_range = Invalid_argument "Cr_serve.Engine: dst out of range"
+
+let check_src t src = if src < 0 || src >= t.n then raise src_out_of_range
+let check_dst t dst = if dst < 0 || dst >= t.n then raise dst_out_of_range
 
 let walk t w ~dst =
-  check_endpoint t "dst" dst;
-  drive t (walker_exec w) ~dst
+  check_dst t dst;
+  run t (Forward.walker w) ~dst
 
 let route ?(cost = Cost.null) ?(live = Live.null) t ~src ~dst =
-  check_endpoint t "src" src;
-  check_endpoint t "dst" dst;
+  check_src t src;
+  check_dst t dst;
   let c =
     { adj = t.adj; cmetric = t.metric; pos = src; total = 0.0; steps = 0;
       budget = t.budget; cur_phase = Trace.Unphased; acct = cost; lv = live }
   in
   if Live.enabled live then Live.tick live;
-  drive t (cursor_exec c) ~dst;
+  run t (cursor_exec c) ~dst;
   (* served routes run over an intact graph: every completed drive is a
      delivery, and the stretch sample is cost over the metric distance *)
   if Live.enabled live then
@@ -476,7 +204,7 @@ let route ?(cost = Cost.null) ?(live = Live.null) t ~src ~dst =
   { Scheme.cost = c.total; hops = c.steps }
 
 let first_move t ~src ~dst =
-  match drive t (probe_exec t.metric src) ~dst with
+  match run t (probe_exec t.metric src) ~dst with
   | () ->
     (* a route between distinct endpoints always moves *)
     assert false
@@ -487,6 +215,8 @@ let first_move t ~src ~dst =
    keep it that way. Name-walking engines must replay the route, which
    builds an executor per call — the exempted probe path below. *)
 let[@cr.zero_alloc] next_hop t ~src ~dst =
+  check_src t src;
+  check_dst t dst;
   if src = dst then -1
   else
     match t.data with
@@ -497,7 +227,7 @@ let[@cr.zero_alloc] next_hop t ~src ~dst =
         lm_find l dst l.m_bunch_off.(src) (l.m_bunch_off.(src + 1) - 1)
       in
       if e >= 0 then l.m_bunch_hop.(e) else l.m_home_hop.(src)
-    | Sfl _ | Simple _ | Sfni _ ->
+    | Sfl _ | Ni _ ->
       (first_move t ~src ~dst
       [@cr.alloc_ok "name-walking engines replay the route via a probe \
                      executor; only flat tables serve without allocating"])
@@ -525,175 +255,106 @@ let batch ?obs ?(pool = Pool.default ()) ?(live = Live.null) t pairs =
 
 (* {2 Compilation} *)
 
-let labels_of nt nn =
-  let lbl = Array.init nn (fun v -> Netting_tree.label nt v) in
-  let node_of = Array.make nn 0 in
-  Array.iteri (fun v l -> node_of.(l) <- v) lbl;
-  (lbl, node_of)
-
-let ring_tables ~pool rings nt =
-  let h = Netting_tree.hierarchy nt in
-  let m = Hierarchy.metric h in
-  Tables.compile ~pool m
-    ~level_count:(Hierarchy.top_level h + 1)
-    ~levels_of:(fun v -> Scheme_codec.ring_levels_of rings v)
-
-let compile_nd nt =
-  let h = Netting_tree.hierarchy nt in
-  let zoom = Zoom.build h in
-  let top = Hierarchy.top_level h in
-  let nn = Metric.n (Hierarchy.metric h) in
-  let hub = Array.make (nn * (top + 1)) 0 in
-  for v = 0 to nn - 1 do
-    for i = 0 to top do
-      hub.((v * (top + 1)) + i) <- Zoom.step zoom v i
-    done
-  done;
-  { nd_top = top; nd_hub = hub; nd_nt = nt }
-
-let finish ctx t ~compiled_bits =
-  Scheme.table_counters ctx ("serve." ^ t.kind) compiled_bits t.n;
+let finish ctx t =
+  Scheme.table_counters ctx ("serve." ^ t.kind) t.bits t.n;
   t
 
 let labeled_budget nn = 10_000 + (100 * nn)
 let ni_budget nn = 50_000 + (200 * nn)
 
-let compile_hier ?obs ?(pool = Pool.default ()) scheme =
+let compile_hier ?obs ?pool:_ scheme =
   let ctx = Trace.resolve obs in
   Trace.span ctx "serve.compile.hier" @@ fun () ->
-  let nt = Hier_labeled.netting_tree scheme in
-  let m = Hierarchy.metric (Netting_tree.hierarchy nt) in
-  let nn = Metric.n m in
-  let tables = ring_tables ~pool (Hier_labeled.rings scheme) nt in
-  let lbl, node_of = labels_of nt nn in
-  let t =
-    { data = Hier { h_tables = tables; h_label = lbl; h_node_of = node_of };
-      metric = m; adj = Flat.of_graph (Metric.graph m); n = nn;
-      name = "hier-labeled (Lemma 3.1)"; kind = "hier";
-      budget = labeled_budget nn }
+  let m =
+    Hierarchy.metric (Netting_tree.hierarchy (Hier_labeled.netting_tree scheme))
   in
-  finish ctx t ~compiled_bits:(fun v ->
-      Tables.bits tables v + (2 * Bits.id_bits nn))
+  let nn = Metric.n m in
+  let h = Hier_labeled.compiled scheme in
+  finish ctx
+    { data = Hier h; metric = m; adj = Flat.of_graph (Metric.graph m); n = nn;
+      name = "hier-labeled (Lemma 3.1)"; kind = "hier";
+      budget = labeled_budget nn;
+      bits = (fun v -> Tables.bits h.h_tables v + (2 * Bits.id_bits nn)) }
 
-let compile_scale_free_labeled ?obs ?(pool = Pool.default ()) scheme =
+let compile_scale_free_labeled ?obs ?pool:_ scheme =
   let ctx = Trace.resolve obs in
   Trace.span ctx "serve.compile.sfl" @@ fun () ->
-  let nt = Scale_free_labeled.netting_tree scheme in
-  let h = Netting_tree.hierarchy nt in
-  let m = Hierarchy.metric h in
-  let nn = Metric.n m in
   let rings = Scale_free_labeled.rings scheme in
-  let tables = ring_tables ~pool rings nt in
-  let lbl, node_of = labels_of nt nn in
-  let scales = Scale_free_labeled.packing_scales scheme in
-  let radii = Array.make (nn * scales) 0.0 in
-  let rows =
-    Pool.parallel_init pool nn (fun u ->
-        Array.init scales (fun j -> Metric.radius_of_size m u (1 lsl j)))
+  let m =
+    Hierarchy.metric (Netting_tree.hierarchy (Rings.netting_tree rings))
   in
-  Array.iteri (fun u row -> Array.blit row 0 radii (u * scales) scales) rows;
-  let vor_owner = Array.make (scales * nn) 0 in
-  let vor_parent = Array.make (scales * nn) (-1) in
-  for j = 0 to scales - 1 do
-    let vor = Scale_free_labeled.scale_voronoi scheme ~scale:j in
-    for v = 0 to nn - 1 do
-      vor_owner.((j * nn) + v) <- Voronoi.owner vor v;
-      vor_parent.((j * nn) + v) <- Voronoi.parent vor v
-    done
-  done;
+  let nn = Metric.n m in
   let s =
-    { s_tables = tables; s_label = lbl; s_node_of = node_of;
-      s_eps_eff = Rings.effective_epsilon rings; s_scales = scales; s_radii = radii;
-      s_vor_owner = vor_owner; s_vor_parent = vor_parent; s_scheme = scheme;
-      s_nd = compile_nd nt; s_fallbacks = Atomic.make 0 }
+    { (Scale_free_labeled.compiled scheme) with
+      Forward.s_fallbacks = Atomic.make 0 }
   in
-  let t =
+  let idb = Bits.id_bits nn in
+  finish ctx
     { data = Sfl s; metric = m; adj = Flat.of_graph (Metric.graph m); n = nn;
       name = "scale-free labeled (Thm 1.2)"; kind = "sfl";
-      budget = labeled_budget nn }
+      budget = labeled_budget nn;
+      bits =
+        (fun v ->
+          (* wire rings + per-scale Voronoi owner/parent ids and a stored
+             radius + the shared directories (the scheme's non-ring
+             share) *)
+          Tables.bits s.s_tables v
+          + (s.s_scales * ((2 * idb) + Bits.distance_bits))
+          + (Scale_free_labeled.table_bits scheme v - Rings.table_bits rings v))
+    }
+
+let ring_bits u v =
+  match u.data with
+  | Hier h -> Tables.bits h.h_tables v
+  | Sfl s -> Tables.bits s.s_tables v
+  | Ni _ | Full _ | Lm _ -> 0
+
+let compile_ni ctx ~fn ~kind ~name ~underlying ~naming ~(u : Underlying.t)
+    ~scheme_bits fwd =
+  Trace.span ctx ("serve.compile." ^ kind) @@ fun () ->
+  let nn = underlying.n in
+  if Array.length naming.Workload.name_of <> nn then
+    invalid_arg ("Cr_serve.Engine." ^ fn ^ ": node count mismatch");
+  let fwd =
+    match underlying.data with
+    | Hier h ->
+      { fwd with
+        Forward.n_label = (fun v -> h.h_label.(v));
+        n_under = Forward.hier h }
+    | Sfl s ->
+      { fwd with
+        Forward.n_label = (fun v -> s.s_label.(v));
+        n_under = Forward.sfl s }
+    | Ni _ | Full _ | Lm _ ->
+      invalid_arg
+        "Cr_serve.Engine: underlying engine must serve a labeled scheme"
   in
   let idb = Bits.id_bits nn in
-  finish ctx t ~compiled_bits:(fun v ->
-      (* wire rings + per-scale Voronoi owner/parent ids and a stored
-         radius + the shared directories (the scheme's non-ring share) *)
-      Tables.bits tables v
-      + (scales * ((2 * idb) + Bits.distance_bits))
-      + (Scale_free_labeled.table_bits scheme v - Rings.table_bits rings v))
-
-let as_under t =
-  match t.data with
-  | Hier b -> U_hier b
-  | Sfl s -> U_sfl s
-  | _ ->
-    invalid_arg "Cr_serve.Engine: underlying engine must serve a labeled scheme"
-
-let hub_rows ~top ~nn hub_of =
-  let rows = Array.make (nn * (top + 1)) 0 in
-  for v = 0 to nn - 1 do
-    for i = 0 to top do
-      rows.((v * (top + 1)) + i) <- hub_of v i
-    done
-  done;
-  rows
+  finish ctx
+    { data =
+        Ni { fwd; name_of = Array.copy naming.Workload.name_of; under = underlying };
+      metric = underlying.metric; adj = underlying.adj; n = nn; name; kind;
+      budget = ni_budget nn;
+      bits =
+        (fun v ->
+          (* hub row + name entry + the scheme's directory share + the
+             underlying engine's compiled tables *)
+          ((fwd.n_top + 2) * idb)
+          + (scheme_bits v - u.u_table_bits v)
+          + ring_bits underlying v) }
 
 let compile_simple_ni ?obs ?pool:_ ~underlying scheme =
-  let ctx = Trace.resolve obs in
-  Trace.span ctx "serve.compile.simple-ni" @@ fun () ->
-  let nn = underlying.n in
-  let naming = Simple_ni.naming scheme in
-  if Array.length naming.Workload.name_of <> nn then
-    invalid_arg "Cr_serve.Engine.compile_simple_ni: node count mismatch";
-  let top = Simple_ni.top_level scheme in
-  let sn =
-    { i_scheme = scheme; i_under = as_under underlying; i_top = top;
-      i_min = Simple_ni.start_level scheme;
-      i_hub =
-        hub_rows ~top ~nn (fun v i -> Simple_ni.hub scheme ~src:v ~level:i);
-      i_name_of = Array.copy naming.Workload.name_of }
-  in
-  let t =
-    { data = Simple sn; metric = underlying.metric; adj = underlying.adj;
-      n = nn; name = "simple name-independent (Thm 1.4)"; kind = "simple-ni";
-      budget = ni_budget nn }
-  in
-  let u = Simple_ni.underlying scheme in
-  let idb = Bits.id_bits nn in
-  finish ctx t ~compiled_bits:(fun v ->
-      (* hub row + name entry + the scheme's directory share + the
-         underlying engine's compiled tables *)
-      ((top + 2) * idb)
-      + (Simple_ni.table_bits scheme v - u.Underlying.u_table_bits v)
-      + (match sn.i_under with
-        | U_hier b -> Tables.bits b.h_tables v
-        | U_sfl s -> Tables.bits s.s_tables v))
+  compile_ni (Trace.resolve obs) ~fn:"compile_simple_ni" ~kind:"simple-ni"
+    ~name:"simple name-independent (Thm 1.4)" ~underlying
+    ~naming:(Simple_ni.naming scheme) ~u:(Simple_ni.underlying scheme)
+    ~scheme_bits:(Simple_ni.table_bits scheme) (Simple_ni.compiled scheme)
 
 let compile_scale_free_ni ?obs ?pool:_ ~underlying scheme =
-  let ctx = Trace.resolve obs in
-  Trace.span ctx "serve.compile.sf-ni" @@ fun () ->
-  let nn = underlying.n in
-  let naming = Scale_free_ni.naming scheme in
-  if Array.length naming.Workload.name_of <> nn then
-    invalid_arg "Cr_serve.Engine.compile_scale_free_ni: node count mismatch";
-  let top = Scale_free_ni.top_level scheme in
-  let sf =
-    { f_scheme = scheme; f_under = as_under underlying; f_top = top;
-      f_hub =
-        hub_rows ~top ~nn (fun v i -> Scale_free_ni.hub scheme ~src:v ~level:i);
-      f_name_of = Array.copy naming.Workload.name_of }
-  in
-  let t =
-    { data = Sfni sf; metric = underlying.metric; adj = underlying.adj;
-      n = nn; name = "scale-free name-independent (Thm 1.1)"; kind = "sf-ni";
-      budget = ni_budget nn }
-  in
-  let u = Scale_free_ni.underlying scheme in
-  let idb = Bits.id_bits nn in
-  finish ctx t ~compiled_bits:(fun v ->
-      ((top + 2) * idb)
-      + (Scale_free_ni.table_bits scheme v - u.Underlying.u_table_bits v)
-      + (match sf.f_under with
-        | U_hier b -> Tables.bits b.h_tables v
-        | U_sfl s -> Tables.bits s.s_tables v))
+  compile_ni (Trace.resolve obs) ~fn:"compile_scale_free_ni" ~kind:"sf-ni"
+    ~name:"scale-free name-independent (Thm 1.1)" ~underlying
+    ~naming:(Scale_free_ni.naming scheme) ~u:(Scale_free_ni.underlying scheme)
+    ~scheme_bits:(Scale_free_ni.table_bits scheme)
+    (Scale_free_ni.compiled scheme)
 
 let compile_full ?obs ?(pool = Pool.default ()) m =
   let ctx = Trace.resolve obs in
@@ -707,9 +368,10 @@ let compile_full ?obs ?(pool = Pool.default ()) m =
   let t =
     { data = Full { t_rows = rows }; metric = m;
       adj = Flat.of_graph (Metric.graph m); n = nn; name = "full-table";
-      kind = "full"; budget = 10 + (4 * nn) }
+      kind = "full"; budget = 10 + (4 * nn);
+      bits = (fun _ -> (nn - 1) * Bits.id_bits nn) }
   in
-  finish ctx t ~compiled_bits:(fun _ -> (nn - 1) * Bits.id_bits nn)
+  finish ctx t
 
 let compile_landmark ?obs ?(pool = Pool.default ()) m lm =
   let ctx = Trace.resolve obs in
@@ -760,58 +422,36 @@ let compile_landmark ?obs ?(pool = Pool.default ()) m lm =
   let t =
     { data = Lm l; metric = m; adj = Flat.of_graph (Metric.graph m); n = nn;
       name = "landmark (TZ stretch-3)"; kind = "landmark";
-      budget = 10 + (8 * nn) }
+      budget = 10 + (8 * nn); bits = (fun v -> bits.(v)) }
   in
-  finish ctx t ~compiled_bits:(fun v -> bits.(v))
+  finish ctx t
 
 (* {2 Accounting} *)
 
-let compiled_bits t v =
-  match t.data with
-  | Hier h -> Tables.bits h.h_tables v + (2 * Bits.id_bits t.n)
-  | Sfl s ->
-    let idb = Bits.id_bits t.n in
-    Tables.bits s.s_tables v
-    + (s.s_scales * ((2 * idb) + Bits.distance_bits))
-    + (Scale_free_labeled.table_bits s.s_scheme v
-      - Rings.table_bits (Scale_free_labeled.rings s.s_scheme) v)
-  | Simple sn ->
-    let u = Simple_ni.underlying sn.i_scheme in
-    ((sn.i_top + 2) * Bits.id_bits t.n)
-    + (Simple_ni.table_bits sn.i_scheme v - u.Underlying.u_table_bits v)
-    + (match sn.i_under with
-      | U_hier b -> Tables.bits b.h_tables v
-      | U_sfl s -> Tables.bits s.s_tables v)
-  | Sfni sf ->
-    let u = Scale_free_ni.underlying sf.f_scheme in
-    ((sf.f_top + 2) * Bits.id_bits t.n)
-    + (Scale_free_ni.table_bits sf.f_scheme v - u.Underlying.u_table_bits v)
-    + (match sf.f_under with
-      | U_hier b -> Tables.bits b.h_tables v
-      | U_sfl s -> Tables.bits s.s_tables v)
-  | Full _ -> (t.n - 1) * Bits.id_bits t.n
-  | Lm l -> l.m_bits.(v)
+let compiled_bits t v = t.bits v
 
-let under_words = function
-  | U_hier h ->
+let ring_arena t =
+  match t.data with
+  | Hier h -> Some h.h_tables
+  | Sfl s -> Some s.s_tables
+  | Ni _ | Full _ | Lm _ -> None
+
+(* A zooming-sequence table (n rows of top + 1 ids), read by the
+   name-independent loop and the netting-descent fallback. *)
+let zoom_words nn top = nn * (top + 1)
+
+let rec data_words t =
+  match t.data with
+  | Hier h ->
     Tables.words h.h_tables + Array.length h.h_label
     + Array.length h.h_node_of
-  | U_sfl s ->
+  | Sfl s ->
     Tables.words s.s_tables + Array.length s.s_label
     + Array.length s.s_node_of + Array.length s.s_radii
     + Array.length s.s_vor_owner + Array.length s.s_vor_parent
-    + Array.length s.s_nd.nd_hub
-
-let data_words t =
-  match t.data with
-  | Hier h -> under_words (U_hier h)
-  | Sfl s -> under_words (U_sfl s)
-  | Simple sn ->
-    under_words sn.i_under + Array.length sn.i_hub
-    + Array.length sn.i_name_of
-  | Sfni sf ->
-    under_words sf.f_under + Array.length sf.f_hub
-    + Array.length sf.f_name_of
+    + zoom_words t.n s.s_descent.d_top
+  | Ni i ->
+    data_words i.under + zoom_words t.n i.fwd.n_top + Array.length i.name_of
   | Full f -> Array.length f.t_rows
   | Lm l ->
     Array.length l.m_home + Array.length l.m_home_hop
@@ -822,9 +462,8 @@ let data_words t =
 let bytes_per_node t =
   float_of_int (8 * (data_words t + Flat.words t.adj)) /. float_of_int t.n
 
-let fallbacks t =
+let rec fallbacks t =
   match t.data with
   | Sfl s -> Atomic.get s.s_fallbacks
-  | Simple { i_under = U_sfl s; _ } -> Atomic.get s.s_fallbacks
-  | Sfni { f_under = U_sfl s; _ } -> Atomic.get s.s_fallbacks
-  | _ -> 0
+  | Ni i -> fallbacks i.under
+  | Hier _ | Full _ | Lm _ -> 0

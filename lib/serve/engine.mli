@@ -1,17 +1,20 @@
 (** The route-serving engine: compiled routing state with an
     allocation-free lookup path and batched query evaluation.
 
-    An engine is built from a constructed scheme by a [compile_*]
-    function: the scheme's forwarding state is flattened into immutable
-    int/float arrays (ring tables travel through [Cr_codec]'s wire format
-    — see {!Tables}), and routes are then *served* from the arena by
-    drivers that replay each scheme's forwarding decisions step for step.
+    Each paper scheme's forwarding decision exists once, as a driver in
+    {!Cr_core.Forward} over the compiled state the scheme's [build]
+    produced (ring tables travel through [Cr_codec]'s wire format — see
+    {!Cr_core.Tables}). A [compile_*] function wraps that state, without
+    copying it, into an engine; routes are then served by the same driver
+    on one of two executors: a lean cursor ([route], [batch]) or a probe
+    that stops at the first movement ([next_hop]). The schemes' own
+    [walk]s bind the driver to a real [Cr_sim.Walker] instead.
 
     The equivalence contract, enforced by the differential test suite and
-    the E20 bench gate: for every (src, dst), a served route visits the
-    same nodes in the same order as the scheme's own walker — [walk]
-    through a real [Cr_sim.Walker] produces a byte-identical event trace,
-    and [route] reproduces the walker's cost and hop count exactly
+    the E20 bench gate: the executors apply the exact walker semantics, so
+    for every (src, dst) a served route visits the same nodes in the same
+    order as the scheme's walk — [walk] produces a byte-identical event
+    trace, and [route] reproduces the walker's cost and hop count exactly
     (identical float operations in identical order).
 
     Destinations are always given as node ids; name-independent engines
@@ -22,10 +25,12 @@ type t
 
 (** {1 Compilation}
 
-    Each compiler flattens one scheme. [obs] (default: the global trace
-    context) wraps the work in a ["serve.compile.<kind>"] span; per-node
-    work fans out over [pool] with arenas identical whatever the pool
-    size. *)
+    Each compiler wraps one scheme. [obs] (default: the global trace
+    context) wraps the work in a ["serve.compile.<kind>"] span. The
+    labeled and name-independent engines reuse the state the scheme's
+    [build] compiled (no second arena); the comparators flatten their
+    tables here, fanning per-node work out over [pool] with arenas
+    identical whatever the pool size. *)
 
 val compile_hier :
   ?obs:Cr_obs.Trace.context -> ?pool:Cr_par.Pool.t ->
@@ -37,8 +42,9 @@ val compile_scale_free_labeled :
 
 (** [compile_simple_ni ~underlying scheme] serves the Theorem 1.4 scheme.
     [underlying] must be an engine compiled from the same labeled scheme
-    instance the name-independent scheme was built over (its arena
-    executes every zoom/search/deliver leg). Raises [Invalid_argument] if
+    instance the name-independent scheme was built over (its driver
+    executes every zoom/search/deliver leg, and its adjacency is
+    shared). Raises [Invalid_argument] if
     [underlying] is not a labeled engine over the same node count. *)
 val compile_simple_ni :
   ?obs:Cr_obs.Trace.context -> ?pool:Cr_par.Pool.t ->
@@ -80,11 +86,12 @@ val n : t -> int
     (hier, full, landmark) this is a pure array scan — no allocation, the
     E20 [Gc.minor_words] gate covers it. The per-route engines (sfl and
     the name-independent pair) derive it by probing the driver for its
-    first movement. *)
+    first movement. Raises [Invalid_argument] on out-of-range endpoints,
+    like [route]. *)
 val next_hop : t -> src:int -> dst:int -> int
 
-(** [walk t w ~dst] drives walker [w] to [dst] from the compiled state —
-    the differential harness runs this against the scheme's own walk and
+(** [walk t w ~dst] runs the engine's driver on walker [w] to [dst] — the
+    differential harness runs this against the scheme's own walk and
     compares traces byte for byte. *)
 val walk : t -> Cr_sim.Walker.t -> dst:int -> unit
 
@@ -120,9 +127,15 @@ val batch :
     budget gates. *)
 val compiled_bits : t -> int -> int
 
+(** [ring_arena t] is the compiled ring arena a labeled engine reads —
+    physically the one its scheme's [build] compiled; [None] for the
+    other engines. *)
+val ring_arena : t -> Cr_core.Tables.t option
+
 (** [bytes_per_node t] is the engine's total arena footprint (machine
-    words of scheme-specific arrays, excluding the shared graph/metric)
-    in bytes, divided by n. *)
+    words of scheme-specific arrays — ring arena, label maps, radius and
+    Voronoi tables, the zooming sequences its driver reads — excluding
+    the shared graph/metric) in bytes, divided by n. *)
 val bytes_per_node : t -> float
 
 (** [fallbacks t] is the count of netting-descent fallbacks taken by

@@ -1,7 +1,6 @@
 (* Known-bad/known-good snippets for the domain-escape rule: mutations
-   the old syntactic pool-purity pass cannot see, because they hide
-   behind a callee or a local alias (test_lint.ml asserts pool-purity
-   reports nothing here while domain-escape reports both). *)
+   no syntactic scan of the task closure can see, because they hide
+   behind a callee or a local alias (domain-escape reports both). *)
 
 module Pool = Cr_par.Pool
 

@@ -8,6 +8,8 @@ module Table_codec = Cr_codec.Table_codec
 module Hierarchy = Cr_nets.Hierarchy
 module Netting_tree = Cr_nets.Netting_tree
 module Rings = Cr_core.Rings
+module Forward = Cr_core.Forward
+module Walker = Cr_sim.Walker
 module Interval_routing = Cr_tree.Interval_routing
 module Tree = Cr_tree.Tree
 
@@ -236,7 +238,8 @@ let suite =
       test_interval_tables_roundtrip ]
 
 let test_scheme_codec_roundtrip_and_route () =
-  (* encode every node's table, decode, and deliver a packet using ONLY the
+  (* encode every node's table, decode, and deliver packets by running the
+     scheme's own forwarding driver over an arena loaded from ONLY the
      decoded wire-format tables *)
   let m = holey () in
   let nt = Netting_tree.build (Hierarchy.build m) in
@@ -244,33 +247,37 @@ let test_scheme_codec_roundtrip_and_route () =
   let n = Metric.n m in
   let decoded =
     Array.init n (fun v ->
-        let data = Cr_codec.Scheme_codec.encode_node scheme v in
+        let data = Cr_core.Scheme_codec.encode_node scheme v in
         check_bool "size prediction" true
           (abs
              ((8 * Bytes.length data)
-             - Cr_codec.Scheme_codec.encoded_bits scheme v)
+             - Cr_core.Scheme_codec.encoded_bits scheme v)
           < 8);
-        Cr_codec.Scheme_codec.decode_node scheme data)
+        Cr_core.Scheme_codec.decode_node scheme data)
   in
-  let route src dst =
-    let dest_label = Cr_core.Hier_labeled.label scheme dst in
-    let rec go v hops =
-      check_bool "hop budget" true (hops < 10_000);
-      match
-        Cr_codec.Scheme_codec.next_hop_from_table decoded.(v) ~self:v
-          ~dest_label
-      with
-      | None -> check_int "arrived" dst v
-      | Some target ->
-        (* one graph hop toward the stored target *)
-        let hop = if target = dst then Metric.next_hop m ~src:v ~dst
-                  else Metric.next_hop m ~src:v ~dst:target in
-        go hop (hops + 1)
-    in
-    go src 0
+  let h_label, h_node_of = Forward.labels nt in
+  let fwd =
+    { Forward.h_tables =
+        Cr_core.Tables.compile m
+          ~level_count:(Cr_core.Tables.level_count (Cr_core.Hier_labeled.rings scheme))
+          ~levels_of:(fun v -> decoded.(v));
+      h_label; h_node_of }
+  in
+  let walk run src =
+    let w = Walker.create m ~start:src ~max_hops:10_000 in
+    run w;
+    w
   in
   List.iter
-    (fun (src, dst) -> route src dst)
+    (fun (src, dst) ->
+      let dest_label = h_label.(dst) in
+      let w = walk (fun w -> Forward.hier fwd (Forward.walker w) ~dest_label) src in
+      check_int "arrived" dst (Walker.position w);
+      (* the decoded tables route exactly like the scheme's own *)
+      let w' =
+        walk (fun w -> Cr_core.Hier_labeled.walk scheme w ~dest_label) src
+      in
+      check_bool "same route" true (Walker.trail w = Walker.trail w'))
     (Cr_sim.Workload.sample_pairs ~n ~count:80 ~seed:13)
 
 let suite =

@@ -6,8 +6,7 @@
    The typed (.cmt) tier is exercised against test/lint_fixtures — a
    real compiled library, so the interprocedural rules walk genuine
    typed trees: known-bad cases per rule, a call-chain golden, the
-   stale-exemption check, the suppression protocol, and proof that the
-   old syntactic pool-purity pass misses what domain-escape catches. *)
+   stale-exemption check, and the suppression protocol. *)
 
 module Engine = Cr_lint_lib.Engine
 module Rule = Cr_lint_lib.Rule
@@ -103,26 +102,6 @@ let hashtbl_fold =
   "let f tbl = Hashtbl.fold (fun k _ acc -> k + acc) tbl 0\n"
 
 let wall_clock = "let now () = Unix.gettimeofday ()\n"
-
-(* ---- pool-purity ---- *)
-
-let captured_hashtbl =
-  "let f pool n out =\n\
-  \  Cr_par.Pool.parallel_init pool n (fun i -> Hashtbl.replace out i i; i)\n"
-
-let captured_array_sugar =
-  "let f pool n out =\n\
-  \  Cr_par.Pool.parallel_map pool n (fun i -> out.(i) <- i; i)\n"
-
-let local_hashtbl =
-  "let f pool n =\n\
-  \  Cr_par.Pool.parallel_init pool n (fun i ->\n\
-  \      let t = Hashtbl.create 4 in\n\
-  \      Hashtbl.replace t i i;\n\
-  \      Hashtbl.length t)\n"
-
-let atomic_capture =
-  "let f pool n c = Cr_par.Pool.parallel_init pool n (fun i -> Atomic.incr c; i)\n"
 
 (* ---- no-unsafe-compare ---- *)
 
@@ -355,12 +334,21 @@ let zero_alloc_fixtures () =
 
 let domain_escape_fixtures () =
   let r = typed_fixture_report "domain-escape" [ "domain-escape" ] in
-  let msgs = typed_msgs "domain-escape" r in
+  let in_file f =
+    List.filter
+      (fun d ->
+        String.equal d.Rule.rule "domain-escape"
+        && contains d.Rule.file f)
+      r.Typed_engine.diagnostics
+  in
+  let escape = in_file "fx_escape.ml" in
   Helpers.check_int "domain-escape: callee escape + alias write" 2
-    (List.length msgs);
+    (List.length escape);
   Helpers.check_int "domain-escape: both are errors" 2
-    (Engine.error_count r.Typed_engine.diagnostics);
-  let has frag = List.exists (fun m -> contains m frag) msgs in
+    (Engine.error_count escape);
+  let has frag =
+    List.exists (fun d -> contains d.Rule.message frag) escape
+  in
   Helpers.check_bool "escape-to-callee finding names the callee" true
     (has "escape to `Cr_lint_fixtures__Fx_escape.fill`");
   Helpers.check_bool "alias write resolves to the captured root" true
@@ -369,6 +357,23 @@ let domain_escape_fixtures () =
      is used, so nothing stale is reported either *)
   Helpers.check_int "suppressed finding silenced, suppression not stale" 0
     (count "unused-suppression" r.Typed_engine.diagnostics)
+
+(* The literal cases (fx_pool.ml): a captured Hashtbl mutation and the
+   [a.(i) <- v] sugar fire once each; the closure-local table [t] and the
+   Atomic-updated counter [c] are never reported. *)
+let fx_pool_findings () =
+  let r = typed_fixture_report "domain-escape" [ "domain-escape" ] in
+  List.filter_map
+    (fun d ->
+      if String.equal d.Rule.rule "domain-escape"
+         && contains d.Rule.file "fx_pool.ml"
+      then Some d.Rule.message
+      else None)
+    r.Typed_engine.diagnostics
+
+let fx_pool_case frag ~expect () =
+  let hits = List.filter (fun m -> contains m frag) (fx_pool_findings ()) in
+  Helpers.check_int frag expect (List.length hits)
 
 let wire_exhaustive_fixtures () =
   let r = typed_fixture_report "wire-exhaustive" [ "wire-exhaustive" ] in
@@ -379,28 +384,6 @@ let wire_exhaustive_fixtures () =
   Helpers.check_bool "missing constructor named" true
     (has "constructor `Gone` of message type `Cr_lint_fixtures__Fx_wire.msg`");
   Helpers.check_bool "catch-all flagged" true (has "catch-all pattern")
-
-(* The interprocedural gap the typed tier exists to close: the syntactic
-   pool-purity rule sees nothing wrong with fx_escape.ml (the mutations
-   hide behind a callee and an alias), while domain-escape reports both. *)
-let old_pool_purity_misses () =
-  match find_source_root () with
-  | None -> ()
-  | Some root ->
-    let path = Filename.concat root (fixture_dir ^ "/fx_escape.ml") in
-    if Sys.file_exists path then begin
-      let src = In_channel.with_open_text path In_channel.input_all in
-      let pool_purity =
-        List.filter
-          (fun r -> String.equal r.Rule.id "pool-purity")
-          Engine.all_rules
-      in
-      let diags =
-        Engine.check_source ~rules:pool_purity ~rel:"lib/sim/fx_escape.ml" src
-      in
-      Helpers.check_int "syntactic pool-purity reports nothing here" 0
-        (List.length diags)
-    end
 
 (* fx_live.ml compiles as part of the fixture library (so the typed tier
    walks it too), but its unguarded emission is a *syntactic* trace-guard
@@ -491,16 +474,6 @@ let suite =
          wall_clock);
     case "determinism: wall clock in lib/obs is fine"
       (clean "obs clock" ~rel:"lib/obs/fixture.ml" wall_clock);
-    case "pool-purity: captured Hashtbl mutation fires"
-      (fires_once "pool-purity" "pool-purity" ~rel:"lib/sim/fixture.ml"
-         captured_hashtbl);
-    case "pool-purity: a.(i) <- sugar fires"
-      (fires_once "pool-purity" "pool-purity" ~rel:"lib/sim/fixture.ml"
-         captured_array_sugar);
-    case "pool-purity: closure-local table is fine"
-      (clean "local" ~rel:"lib/sim/fixture.ml" local_hashtbl);
-    case "pool-purity: Atomic updates are fine"
-      (clean "atomic" ~rel:"lib/sim/fixture.ml" atomic_capture);
     case "no-unsafe-compare: bare compare fires"
       (fires_once "no-unsafe-compare" "no-unsafe-compare"
          ~rel:"lib/metric/fixture.ml" bare_compare);
@@ -528,8 +501,14 @@ let suite =
       domain_escape_fixtures;
     case "typed: wire-exhaustive flags missing ctor and catch-all"
       wire_exhaustive_fixtures;
-    case "typed: syntactic pool-purity misses the escape fixtures"
-      old_pool_purity_misses;
+    case "domain-escape: captured Hashtbl mutation fires"
+      (fx_pool_case "mutates captured `out` (Hashtbl mutation)" ~expect:1);
+    case "domain-escape: a.(i) <- sugar fires"
+      (fx_pool_case "mutates captured `out` (array write)" ~expect:1);
+    case "domain-escape: closure-local table is fine"
+      (fx_pool_case "captured `t`" ~expect:0);
+    case "domain-escape: Atomic updates are fine"
+      (fx_pool_case "captured `c`" ~expect:0);
     case "trace-guard: fx_live fixture fires once at a lib path"
       live_fixture_fires;
     case "typed: clean tree: zero findings at HEAD" typed_clean_tree ]

@@ -457,3 +457,28 @@ let suite =
   @ [ Alcotest.test_case "graph io roundtrip" `Quick test_graph_io_roundtrip;
       Alcotest.test_case "graph io rejects" `Quick test_graph_io_rejects;
       Alcotest.test_case "graph io files" `Quick test_graph_io_files ]
+
+(* Where edge weights vanish in float sums (distances past 2^53 times the
+   weight, as on E6's base-3 chain) the tie-break must not close a
+   predecessor cycle: every chain climbs to its source within n steps. *)
+let test_pred_forest_acyclic_when_weights_vanish () =
+  let n = 48 in
+  let g = Cr_graphgen.Path_like.exponential_chain ~n ~base:3.0 in
+  for s = 0 to n - 1 do
+    let r = Dijkstra.run g s in
+    let rec reaches_source x steps =
+      x = s
+      || (steps > 0 && r.Dijkstra.pred.(x) >= 0
+         && reaches_source r.Dijkstra.pred.(x) (steps - 1))
+    in
+    for v = 0 to n - 1 do
+      check_bool
+        (Printf.sprintf "pred chain %d -> %d reaches the source" s v)
+        true (reaches_source v n)
+    done
+  done
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "dijkstra pred forest acyclic when weights vanish"
+        `Quick test_pred_forest_acyclic_when_weights_vanish ]

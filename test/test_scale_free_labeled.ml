@@ -118,12 +118,12 @@ let test_netting_descent_delivers () =
      fast path never needs it on these instances *)
   let m = holey () in
   let nt = Netting_tree.build (Hierarchy.build m) in
-  let descent = Cr_core.Netting_descent.build nt in
+  let descent = Cr_core.Forward.build_descent nt in
   let n = Metric.n m in
   List.iter
     (fun (src, dst) ->
       let w = Cr_sim.Walker.create m ~start:src ~max_hops:1_000_000 in
-      Cr_core.Netting_descent.walk descent w
+      Cr_core.Forward.descent descent (Cr_core.Forward.walker w)
         ~dest_label:(Netting_tree.label nt dst);
       check_int "fallback arrives" dst (Cr_sim.Walker.position w))
     (Workload.sample_pairs ~n ~count:100 ~seed:31)

@@ -21,9 +21,8 @@ module Trace = Cr_obs.Trace
 module Sinks = Cr_obs.Sinks
 module Pool = Cr_par.Pool
 module Table_codec = Cr_codec.Table_codec
-module Scheme_codec = Cr_codec.Scheme_codec
 module Engine = Cr_serve.Engine
-module Tables = Cr_serve.Tables
+module Tables = Cr_core.Tables
 
 type fixture = {
   m : Metric.t;
@@ -242,7 +241,7 @@ let test_codec_idempotence () =
   let level_count = Hierarchy.top_level (Netting_tree.hierarchy nt) + 1 in
   List.iter
     (fun (rname, rings) ->
-      let levels_of v = Scheme_codec.ring_levels_of rings v in
+      let levels_of v = Tables.ring_levels rings v in
       let tables = Tables.compile fx.m ~level_count ~levels_of in
       for v = 0 to n - 1 do
         let original = levels_of v in
@@ -377,6 +376,42 @@ let qcheck_served_equals_walked =
       let _, walked, eng = List.nth (outcomes ()) si in
       same_outcome (walked ~src ~dst) (Engine.route eng ~src ~dst))
 
+(* Every engine rejects out-of-range endpoints on every serving call with
+   the same typed error: next_hop must not answer a garbage hop. *)
+let test_endpoints_checked () =
+  let fx = fx_grid () in
+  let n = Metric.n fx.m in
+  let src_err = Invalid_argument "Cr_serve.Engine: src out of range" in
+  let dst_err = Invalid_argument "Cr_serve.Engine: dst out of range" in
+  List.iter
+    (fun (sname, _, eng) ->
+      List.iter
+        (fun bad ->
+          let label what = Printf.sprintf "%s: %s %d" sname what bad in
+          Alcotest.check_raises (label "next_hop src") src_err (fun () ->
+              ignore (Engine.next_hop eng ~src:bad ~dst:0));
+          Alcotest.check_raises (label "next_hop dst") dst_err (fun () ->
+              ignore (Engine.next_hop eng ~src:1 ~dst:bad));
+          Alcotest.check_raises (label "route src") src_err (fun () ->
+              ignore (Engine.route eng ~src:bad ~dst:0));
+          Alcotest.check_raises (label "route dst") dst_err (fun () ->
+              ignore (Engine.route eng ~src:1 ~dst:bad)))
+        [ n; -1; -7 ])
+    (all_outcomes fx)
+
+(* The labeled engines serve the arena their scheme's build compiled —
+   physically the same one, not a second compile. *)
+let test_arena_reused () =
+  let fx = fx_geo () in
+  let same eng arena =
+    match Engine.ring_arena eng with Some a -> a == arena | None -> false
+  in
+  check_bool "hier" true
+    (same fx.e_hier (Hier_labeled.compiled fx.hl).Cr_core.Forward.h_tables);
+  check_bool "sfl" true
+    (same fx.e_sfl (Sfl.compiled fx.sfl).Cr_core.Forward.s_tables);
+  check_bool "full has no ring arena" true (Engine.ring_arena fx.e_full = None)
+
 let suite =
   List.concat_map
     (fun (fname, fx) ->
@@ -404,4 +439,8 @@ let suite =
       Alcotest.test_case "Cost ledgers identical walker vs served" `Quick
         test_cost_parity;
       qcheck_served_equals_walked;
-      Alcotest.test_case "compiled bits sane" `Quick test_compiled_bits_sane ]
+      Alcotest.test_case "compiled bits sane" `Quick test_compiled_bits_sane;
+      Alcotest.test_case "out-of-range endpoints rejected" `Quick
+        test_endpoints_checked;
+      Alcotest.test_case "labeled engines reuse the scheme's arena" `Quick
+        test_arena_reused ]

@@ -11,6 +11,8 @@ module Walker = Cr_sim.Walker
 module Scheme = Cr_sim.Scheme
 module Stats = Cr_sim.Stats
 module Workload = Cr_sim.Workload
+module Route_trace = Cr_core.Route_trace
+module Trace = Cr_obs.Trace
 
 let nt_of m = Netting_tree.build (Hierarchy.build m)
 
@@ -86,24 +88,34 @@ let test_composes_with_scale_free_underlying () =
   in
   check_all_pairs m (t, naming)
 
-let test_observer_reports () =
+(* Figure 1's per-level costs are the trace's phase sums: Zoom/Ball_search
+   phases only up to the found level, then the delivery. *)
+let test_level_phases () =
   let m = holey () in
   let t, naming = build m in
-  let reports = ref [] in
-  let w = Walker.create m ~start:0 ~max_hops:1_000_000 in
-  Simple_ni.walk
-    ~observe:(fun r -> reports := r :: !reports)
-    t w ~dest_name:naming.Workload.name_of.(Metric.n m - 1);
-  let reports = List.rev !reports in
-  check_bool "at least one level" true (reports <> []);
-  List.iteri
-    (fun i (r : Simple_ni.level_report) ->
-      check_int "levels consecutive" i r.Simple_ni.level;
-      check_bool "costs non-negative" true
-        (r.Simple_ni.climb_cost >= 0.0 && r.Simple_ni.search_cost >= 0.0);
-      check_bool "found only at last" true
-        (r.Simple_ni.found = (i = List.length reports - 1)))
-    reports
+  let dst = Metric.n m - 1 in
+  let dest_name = naming.Workload.name_of.(dst) in
+  let r =
+    Route_trace.capture m ~src:0 ~dst ~walk:(fun w ->
+        Simple_ni.walk t w ~dest_name)
+  in
+  let found = Simple_ni.found_level t ~src:0 ~dest_name in
+  let phases = Route_trace.phase_costs r in
+  check_bool "at least one level" true (phases <> []);
+  List.iter
+    (fun (p, c) ->
+      check_bool "costs non-negative" true (c >= 0.0);
+      match p with
+      | Trace.Zoom i | Trace.Ball_search i ->
+        check_bool "levels up to the found one" true (i <= found)
+      | Trace.Deliver -> ()
+      | _ -> Alcotest.fail "unexpected phase")
+    phases;
+  check_bool "found level searched" true
+    (List.mem_assoc (Trace.Ball_search found) phases
+    || found = 0 (* a level-0 hit may cost nothing *));
+  check_float "phase sums reproduce the cost" r.Route_trace.cost
+    (Route_trace.phase_cost_total r)
 
 let test_found_level_consistent () =
   let m = grid6 () in
@@ -155,7 +167,7 @@ let suite =
     Alcotest.test_case "identity naming" `Quick test_identity_naming;
     Alcotest.test_case "composes with Thm 1.2 underlying" `Quick
       test_composes_with_scale_free_underlying;
-    Alcotest.test_case "observer reports" `Quick test_observer_reports;
+    Alcotest.test_case "per-level phase costs" `Quick test_level_phases;
     Alcotest.test_case "found_level in range" `Quick
       test_found_level_consistent;
     Alcotest.test_case "tables include underlying" `Quick

@@ -79,12 +79,12 @@ let external_mutation fn args =
     List.find_map
       (fun (suffix, idx, what) ->
         if
-          Tast_util.ends_with ~suffix parts
-          ||
-          (* unqualified operators: [:=] / [incr] / [decr] *)
-          (match (suffix, parts) with
+          match (suffix, parts) with
+          (* unqualified operators [:=] / [incr] / [decr] only: a
+             qualified [Atomic.incr] is synchronized, not a mutator *)
           | [ s ], [ p ] -> String.equal s p
-          | _ -> false)
+          | [ _ ], _ -> false
+          | _ -> Tast_util.ends_with ~suffix parts
         then Option.map (fun a -> (a, what)) (nth_nolabel args idx)
         else None)
       external_mutators

@@ -1,7 +1,6 @@
 let all_rules =
   [ Trace_guard.rule;
     Determinism.rule;
-    Pool_purity.rule;
     Unsafe_compare.rule;
     Mli_coverage.rule ]
 
